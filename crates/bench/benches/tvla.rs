@@ -1,13 +1,14 @@
 //! TVLA benchmarks: one-pass streaming moments vs the naive two-pass
-//! computation (the paper's Eq. 2 vs Eq. 3–4 motivation), Welch throughput,
-//! and a full per-gate assessment.
+//! computation (the paper's Eq. 2 vs Eq. 3–4 motivation), the per-batch
+//! accumulate kernel, Welch throughput, and a full per-gate assessment.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use polaris_netlist::generators;
+use polaris_sim::campaign::{EnergyBatch, Population, TraceSink};
 use polaris_sim::{CampaignConfig, PowerModel};
-use polaris_tvla::{welch_t, StreamingMoments};
+use polaris_tvla::{welch_t, StreamingMoments, WelchAccumulator};
 
 fn pseudo_random(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -63,6 +64,19 @@ fn bench_moments(c: &mut Criterion) {
     g.finish();
 }
 
+/// One engine batch into the first-order accumulator: 400 gates × 256
+/// lanes (the default 4-word lane width), the gate-interleaved kernel.
+fn bench_record_batch(c: &mut Criterion) {
+    const GATES: usize = 400;
+    const LANES: usize = 256;
+    let energies = pseudo_random(GATES * LANES, 5);
+    let batch = EnergyBatch::new(&energies, GATES, LANES).expect("well-formed batch");
+    c.bench_function("welch_record_batch_400x256", |b| {
+        let mut acc = WelchAccumulator::new();
+        b.iter(|| acc.record_batch(Population::Fixed, black_box(batch)))
+    });
+}
+
 fn bench_welch(c: &mut Criterion) {
     let a = pseudo_random(10_000, 1);
     let bpop = pseudo_random(10_000, 2);
@@ -91,5 +105,11 @@ fn bench_assessment(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_moments, bench_welch, bench_assessment);
+criterion_group!(
+    benches,
+    bench_moments,
+    bench_record_batch,
+    bench_welch,
+    bench_assessment
+);
 criterion_main!(benches);

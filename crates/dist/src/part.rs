@@ -503,8 +503,8 @@ where
 
     // Shards must agree on the accumulator dimension (gate / guess count)
     // before anything folds: mismatched dimensions mean the parts came from
-    // different designs, and the accumulator merges themselves only
-    // debug-assert it (a release build would silently truncate).
+    // different designs, and the accumulator merges panic on it (parts are
+    // untrusted input, so a mismatch must be a typed error, not a crash).
     let mut dimension: Option<usize> = None;
     for (h, states) in &decoded {
         for s in states {

@@ -55,6 +55,7 @@ use polaris_sim::campaign::{
 use polaris_sim::PowerModel;
 use polaris_tvla::{SequentialConfig, SequentialStopping, WelchAccumulator};
 
+use crate::codec::ShardState;
 use crate::part::{decode_part, encode_part, PartHeader};
 use crate::plan::campaign_fingerprint;
 use crate::DistError;
@@ -896,6 +897,19 @@ impl Coordinator {
                     job.grid.len()
                 )));
             }
+            // The header fields are the worker's own; a part whose states
+            // track a different gate count would panic the fold below, so
+            // it is rejected here like any other bad part.
+            let gates = job.netlist.gate_count();
+            if let Some(d) = states
+                .iter()
+                .filter_map(ShardState::dimension)
+                .find(|&d| d != gates)
+            {
+                return Err(DistError::PlanMismatch(format!(
+                    "part carries shard states of {d} gates, the design has {gates}"
+                )));
+            }
             Ok(states)
         });
         let states = match validated {
@@ -1246,10 +1260,9 @@ impl<'a> Manifest<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ShardState;
     use polaris_netlist::{generators, write_bench};
     use polaris_sim::run_campaign_parallel;
-    use polaris_tvla::campaign_outcome_adaptive;
+    use polaris_tvla::{campaign_outcome_adaptive, StreamingMoments};
 
     fn c17_submission(tenant: &str, adaptive: bool) -> Submission {
         Submission {
@@ -1547,6 +1560,52 @@ mod tests {
             Err(DistError::ChecksumMismatch { .. })
         ));
         drain(&mut coordinator, &[w]);
+
+        // A part with the right header whose states track another gate
+        // count is rejected before it reaches the fold (which would panic
+        // with the coordinator lock held), and the job still converges to
+        // the single-process result.
+        let forged_sub = Submission {
+            seed: 77,
+            ..sub.clone()
+        };
+        let job = match coordinator.submit(&forged_sub).unwrap() {
+            SubmitOutcome::Queued { job, .. } => job,
+            other => panic!("expected a queued job, got {other:?}"),
+        };
+        let (lease, spec) = coordinator.next_task(w).expect("a lease");
+        let honest = spec.execute(Parallelism::sequential()).unwrap();
+        let (header, states) = decode_part::<WelchAccumulator>(&honest).unwrap();
+        let widened: Vec<WelchAccumulator> = states
+            .iter()
+            .map(|s| {
+                let (fixed, random) = s.classes();
+                let pad = |v: &[StreamingMoments]| {
+                    let mut v = v.to_vec();
+                    v.push(StreamingMoments::new());
+                    v
+                };
+                WelchAccumulator::from_classes(pad(fixed), pad(random))
+            })
+            .collect();
+        let forged = encode_part(&header, &widened);
+        assert!(matches!(
+            coordinator.complete_task(lease, &forged),
+            Err(DistError::PlanMismatch(_))
+        ));
+        drain(&mut coordinator, &[w]);
+        let netlist = forged_sub.format.parse(&forged_sub.source).unwrap();
+        let reference: WelchAccumulator = run_campaign_parallel(
+            &netlist,
+            &PowerModel::default(),
+            &forged_sub.campaign(),
+            Parallelism::sequential(),
+        )
+        .unwrap();
+        match coordinator.job_status(job) {
+            JobStatus::Done(result) => assert_eq!(sink_bytes(&result.sink), sink_bytes(&reference)),
+            other => panic!("expected a settled job, got {other:?}"),
+        }
 
         // A job whose leases keep failing settles as failed instead of
         // looping forever.

@@ -62,7 +62,7 @@ use polaris_obs::{NullRecorder, Payload, Phase, PhaseTimer, PopulationTag, Recor
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::logic::{BlockState, Simulator};
+use crate::logic::{resize_zeroed, BlockState, Simulator};
 use crate::power::{fill_standard_normal, sample_standard_normal, PowerModel};
 
 /// Trace lanes per simulator word (one `u64` of lane bits).
@@ -563,13 +563,22 @@ fn add_toggles(toggles: &mut [u32], diff: u64) {
     }
 }
 
-/// Reusable per-worker buffers of the block engine: one allocation set per
-/// `run_range` call instead of per batch.
-struct BlockScratch<const W: usize> {
-    st: BlockState<W>,
+/// Reusable buffers of the block engine, owned by one worker and reused for
+/// every shard it runs, of any campaign: one allocation set per worker
+/// instead of per shard. [`BlockScratch::fit`] sizes them for an engine
+/// before each range. No value carries over between blocks — every buffer
+/// is written before it is read, except `zero_data`, which is never written
+/// and only ever grows by zeros — so a reused scratch yields the same bits
+/// as a fresh one.
+#[derive(Default)]
+pub(crate) struct BlockScratch {
+    /// Word buffers of the block's `BlockState` (value and flip-flop words).
+    state: (Vec<u64>, Vec<u64>),
     /// Previous value words (gate-major, `W` per gate).
     prev: Vec<u64>,
-    /// Per-lane toggle counters, `W × 64` per gate.
+    /// Per-lane toggle counters, `W × 64` per gate. Left unallocated and
+    /// untouched by single-cycle zero-delay engines, which read toggles
+    /// straight from the value words.
     toggles: Vec<u32>,
     /// Gate-major energy matrix of the current batch.
     energies: Vec<f64>,
@@ -583,18 +592,21 @@ struct BlockScratch<const W: usize> {
     normals: Vec<f64>,
 }
 
-impl<const W: usize> BlockScratch<W> {
-    fn new(engine: &Engine<'_>) -> Self {
-        BlockScratch {
-            st: engine.sim.zero_block::<W>(),
-            prev: vec![0; engine.gates * W],
-            toggles: vec![0; engine.gates * W * WORD_LANES],
-            energies: vec![0.0; engine.gates * W * WORD_LANES],
-            data: vec![0; engine.n_data * W],
-            zero_data: vec![0; engine.n_data * W],
-            masks: vec![0; engine.n_mask * W],
-            normals: vec![0.0; W * WORD_LANES],
+impl BlockScratch {
+    /// Sizes every buffer for `engine`'s blocks, keeping every allocation
+    /// that is already large enough (see [`resize_zeroed`]).
+    fn fit(&mut self, engine: &Engine<'_>) {
+        let w = engine.lane_words;
+        let gate_words = engine.gates * w;
+        resize_zeroed(&mut self.prev, gate_words);
+        if !engine.single_cycle() {
+            resize_zeroed(&mut self.toggles, gate_words * WORD_LANES);
         }
+        resize_zeroed(&mut self.energies, gate_words * WORD_LANES);
+        resize_zeroed(&mut self.data, engine.n_data * w);
+        resize_zeroed(&mut self.zero_data, engine.n_data * w);
+        resize_zeroed(&mut self.masks, engine.n_mask * w);
+        resize_zeroed(&mut self.normals, w * WORD_LANES);
     }
 }
 
@@ -656,10 +668,17 @@ impl<'a> Engine<'a> {
         })
     }
 
+    /// `cycles == 1` zero-delay blocks (the combinational common case) skip
+    /// the per-lane toggle counters: each gate toggles at most once, so the
+    /// XOR against the base values *is* the toggle bit.
+    fn single_cycle(&self) -> bool {
+        self.config.cycles == 1 && self.config.delay_model == DelayModel::Zero
+    }
+
     /// Simulates the contiguous trace range `[start, start + count)` of one
-    /// population into `sink`. `start` must be word-aligned (a multiple of
-    /// 64) so the per-word stream grid — and hence every RNG draw — is
-    /// independent of the sharding and of the lane width.
+    /// population into `sink` with fresh buffers and no timing — the
+    /// reference the buffer-reuse tests compare against.
+    #[cfg(test)]
     pub(crate) fn run_range<S: TraceSink>(
         &self,
         pop: Population,
@@ -667,28 +686,35 @@ impl<'a> Engine<'a> {
         count: usize,
         sink: &mut S,
     ) {
+        let mut scratch = BlockScratch::default();
         let mut timer = PhaseTimer::disabled();
-        self.run_range_timed(pop, start, count, sink, &mut timer);
+        self.run_range_timed(pop, start, count, sink, &mut scratch, &mut timer);
     }
 
-    /// [`Engine::run_range`] with per-phase timing: RNG/simulate/accumulate
-    /// nanoseconds accumulate into `timer` (free when the timer is
-    /// disabled). Timing is strictly observational — no RNG draw, batch
-    /// boundary, or sink call depends on it, so traced and untraced runs
-    /// are byte-identical.
+    /// Simulates the contiguous trace range `[start, start + count)` of one
+    /// population into `sink`, in the caller's (per-worker) `scratch`
+    /// buffers. `start` must be word-aligned (a multiple of 64) so the
+    /// per-word stream grid — and hence every RNG draw — is independent of
+    /// the sharding and of the lane width.
+    ///
+    /// RNG/simulate/accumulate nanoseconds accumulate into `timer` (free
+    /// when the timer is disabled). Timing is strictly observational — no
+    /// RNG draw, batch boundary, or sink call depends on it, so traced and
+    /// untraced runs are byte-identical.
     pub(crate) fn run_range_timed<S: TraceSink>(
         &self,
         pop: Population,
         start: usize,
         count: usize,
         sink: &mut S,
+        scratch: &mut BlockScratch,
         timer: &mut PhaseTimer,
     ) {
         match self.lane_words {
-            1 => self.run_range_w::<S, 1>(pop, start, count, sink, timer),
-            2 => self.run_range_w::<S, 2>(pop, start, count, sink, timer),
-            4 => self.run_range_w::<S, 4>(pop, start, count, sink, timer),
-            8 => self.run_range_w::<S, 8>(pop, start, count, sink, timer),
+            1 => self.run_range_w::<S, 1>(pop, start, count, sink, scratch, timer),
+            2 => self.run_range_w::<S, 2>(pop, start, count, sink, scratch, timer),
+            4 => self.run_range_w::<S, 4>(pop, start, count, sink, scratch, timer),
+            8 => self.run_range_w::<S, 8>(pop, start, count, sink, scratch, timer),
             w => unreachable!("lane width {w} rejected at construction"),
         }
     }
@@ -699,16 +725,21 @@ impl<'a> Engine<'a> {
         start: usize,
         count: usize,
         sink: &mut S,
+        scratch: &mut BlockScratch,
         timer: &mut PhaseTimer,
     ) {
         debug_assert_eq!(start % WORD_LANES, 0, "shards must be word-aligned");
-        let mut scratch = BlockScratch::<W>::new(self);
+        scratch.fit(self);
+        let (values, dff) = std::mem::take(&mut scratch.state);
+        let mut st = BlockState::<W>::from_buffers(values, dff, self.gates);
         let mut done = 0usize;
         while done < count {
             let lanes = (count - done).min(W * WORD_LANES);
-            self.run_block::<S, W>(pop, (start + done) as u64, lanes, &mut scratch, sink, timer);
+            let block_start = (start + done) as u64;
+            self.run_block::<S, W>(pop, block_start, lanes, &mut st, scratch, sink, timer);
             done += lanes;
         }
+        scratch.state = st.into_buffers();
     }
 
     /// Simulates one `W`-word block of `lanes` traces starting at global
@@ -719,12 +750,14 @@ impl<'a> Engine<'a> {
     /// `(gate-major, lane-minor)` order — so a block is exactly the
     /// concatenation of the `W` single-word batches a `W = 1` engine would
     /// produce, and sinks fold to byte-identical state at every width.
+    #[allow(clippy::too_many_arguments)]
     fn run_block<S: TraceSink, const W: usize>(
         &self,
         pop: Population,
         block_start: u64,
         lanes: usize,
-        scratch: &mut BlockScratch<W>,
+        st: &mut BlockState<W>,
+        scratch: &mut BlockScratch,
         sink: &mut S,
         timer: &mut PhaseTimer,
     ) {
@@ -780,7 +813,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let st = &mut scratch.st;
         st.reset();
         // Base application: settle on all-zero data with fresh masks;
         // toggles are not counted here.
@@ -797,10 +829,7 @@ impl<'a> Engine<'a> {
         scratch.prev.copy_from_slice(st.values());
         timer.end(Phase::Simulate, t_sim);
 
-        // `cycles == 1` zero-delay blocks (the combinational common case)
-        // skip the per-lane toggle counters: each gate toggles at most once,
-        // so the XOR against the base values *is* the toggle bit.
-        let single_cycle = self.config.cycles == 1 && self.config.delay_model == DelayModel::Zero;
+        let single_cycle = self.single_cycle();
         if !single_cycle {
             scratch.toggles.fill(0);
         }
@@ -1103,27 +1132,38 @@ where
     let grid_base = shards.start;
     let specs = &grid[shards];
     let tracing = recorder.enabled();
-    Ok(run_sharded(specs.len(), parallelism, |i| {
-        let shard = specs[i];
-        let mut sink = factory();
-        let mut timer = PhaseTimer::new(tracing);
-        let t0 = timer.begin();
-        engine.run_range_timed(shard.pop, shard.start, shard.count, &mut sink, &mut timer);
-        if let Some(t0) = t0 {
-            recorder.record(Payload::ShardSpan {
-                round: 0,
-                grid_index: (grid_base + i) as u64,
-                pop: shard.pop.tag(),
-                start: shard.start as u64,
-                count: shard.count as u64,
-                wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                rng_ns: timer.nanos(Phase::Rng),
-                sim_ns: timer.nanos(Phase::Simulate),
-                acc_ns: timer.nanos(Phase::Accumulate),
-            });
-        }
-        sink
-    }))
+    Ok(run_sharded_scratch(
+        specs.len(),
+        parallelism,
+        |scratch, i| {
+            let shard = specs[i];
+            let mut sink = factory();
+            let mut timer = PhaseTimer::new(tracing);
+            let t0 = timer.begin();
+            engine.run_range_timed(
+                shard.pop,
+                shard.start,
+                shard.count,
+                &mut sink,
+                scratch,
+                &mut timer,
+            );
+            if let Some(t0) = t0 {
+                recorder.record(Payload::ShardSpan {
+                    round: 0,
+                    grid_index: (grid_base + i) as u64,
+                    pop: shard.pop.tag(),
+                    start: shard.start as u64,
+                    count: shard.count as u64,
+                    wall_ns: u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                    rng_ns: timer.nanos(Phase::Rng),
+                    sim_ns: timer.nanos(Phase::Simulate),
+                    acc_ns: timer.nanos(Phase::Accumulate),
+                });
+            }
+            sink
+        },
+    ))
 }
 
 /// Folds per-shard (or per-part) states **in order** into one accumulator —
@@ -1160,6 +1200,17 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_sharded_scratch(n_shards, parallelism, |_, i| work(i))
+}
+
+/// [`run_sharded`] handing every work item its worker's [`BlockScratch`]:
+/// one per worker thread (one on the inline path), reused for every shard
+/// that worker runs.
+fn run_sharded_scratch<T, F>(n_shards: usize, parallelism: Parallelism, work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut BlockScratch, usize) -> T + Sync,
+{
     let threads = parallelism.threads().min(n_shards.max(1));
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n_shards, || None);
@@ -1168,8 +1219,9 @@ where
     // must never pay for a scoped worker spawn — the work runs on the
     // calling thread (a regression test pins this via thread identity).
     if threads <= 1 || n_shards <= 1 {
+        let mut scratch = BlockScratch::default();
         for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(work(i));
+            *slot = Some(work(&mut scratch, i));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -1179,13 +1231,14 @@ where
             let workers: Vec<_> = (0..threads)
                 .map(|_| {
                     scope.spawn(move || {
+                        let mut scratch = BlockScratch::default();
                         let mut local: Vec<(usize, T)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= n_shards {
                                 break;
                             }
-                            local.push((i, work(i)));
+                            local.push((i, work(&mut scratch, i)));
                         }
                         local
                     })
@@ -1234,6 +1287,13 @@ struct FoldState<S> {
 /// collect-then-fold round would hold `traces / TRACES_PER_SHARD` private
 /// accumulators before the first merge.
 ///
+/// Every worker (the calling thread on the inline path) runs all its
+/// items in one [`BlockScratch`], allocated once per call. The round driver
+/// calls this once per round, so a campaign that runs as one round
+/// allocates block buffers once per worker, and an adaptive one frees them
+/// before each checkpoint, so the stopping rule's allocations never add to
+/// theirs.
+///
 /// When `fold_ns` is supplied, the nanoseconds spent merging sinks are
 /// added to it (summed across workers). Timing never changes which merges
 /// run or in what order, so traced runs stay byte-identical.
@@ -1249,7 +1309,7 @@ fn run_sharded_fold<S, F>(
     fold_ns: Option<&AtomicU64>,
 ) where
     S: MergeableSink,
-    F: Fn(usize) -> S + Sync,
+    F: Fn(&mut BlockScratch, usize) -> S + Sync,
 {
     let timed_merge = |acc: &mut Option<S>, sink: S| match fold_ns {
         None => merge_into(acc, sink),
@@ -1264,8 +1324,9 @@ fn run_sharded_fold<S, F>(
     if threads <= 1 || n_shards <= 1 {
         // Inline path: sequential budgets and single-shard plans never pay
         // for a scoped worker spawn (pinned by a thread-identity test).
+        let mut scratch = BlockScratch::default();
         for i in 0..n_shards {
-            timed_merge(acc, work(i));
+            timed_merge(acc, work(&mut scratch, i));
         }
         return;
     }
@@ -1277,21 +1338,24 @@ fn run_sharded_fold<S, F>(
     });
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_shards {
-                    break;
-                }
-                let sink = work(i);
-                let mut st = state.lock().expect("fold state poisoned");
-                st.pending.insert(i, sink);
+            scope.spawn(|| {
+                let mut scratch = BlockScratch::default();
                 loop {
-                    let key = st.next_fold;
-                    let Some(ready) = st.pending.remove(&key) else {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n_shards {
                         break;
-                    };
-                    timed_merge(&mut st.acc, ready);
-                    st.next_fold += 1;
+                    }
+                    let sink = work(&mut scratch, i);
+                    let mut st = state.lock().expect("fold state poisoned");
+                    st.pending.insert(i, sink);
+                    loop {
+                        let key = st.next_fold;
+                        let Some(ready) = st.pending.remove(&key) else {
+                            break;
+                        };
+                        timed_merge(&mut st.acc, ready);
+                        st.next_fold += 1;
+                    }
                 }
             });
         }
@@ -1317,8 +1381,14 @@ pub fn run_campaign<S: TraceSink>(
     sink: &mut S,
 ) -> Result<(), NetlistError> {
     let engine = Engine::new(netlist, model, config, DEFAULT_LANE_WORDS)?;
-    engine.run_range(Population::Fixed, 0, config.n_fixed, sink);
-    engine.run_range(Population::Random, 0, config.n_random, sink);
+    let mut scratch = BlockScratch::default();
+    let mut timer = PhaseTimer::disabled();
+    for (pop, count) in [
+        (Population::Fixed, config.n_fixed),
+        (Population::Random, config.n_random),
+    ] {
+        engine.run_range_timed(pop, 0, count, sink, &mut scratch, &mut timer);
+    }
     Ok(())
 }
 
@@ -1475,12 +1545,19 @@ where
         run_sharded_fold(
             chunk.len(),
             parallelism,
-            |i| {
+            |scratch, i| {
                 let shard = chunk[i];
                 let mut sink = factory();
                 let mut timer = PhaseTimer::new(tracing);
                 let t0 = timer.begin();
-                engine.run_range_timed(shard.pop, shard.start, shard.count, &mut sink, &mut timer);
+                engine.run_range_timed(
+                    shard.pop,
+                    shard.start,
+                    shard.count,
+                    &mut sink,
+                    scratch,
+                    &mut timer,
+                );
                 if let Some(t0) = t0 {
                     recorder.record(Payload::ShardSpan {
                         round: round as u64,
@@ -2116,6 +2193,94 @@ mod tests {
         assert_eq!(ids, vec![caller], "single-shard run spawned");
         let empty = run_sharded(0, Parallelism::new(8), |_| std::thread::current().id());
         assert!(empty.is_empty());
+    }
+
+    /// The buffer-reuse sequence: a large single-cycle campaign, then a
+    /// small unit-delay multi-cycle one (toggle counters after a run that
+    /// never touched them), then a multi-cycle zero-delay one whose classes
+    /// end in partial blocks at every width.
+    fn scratch_reuse_sequence() -> Vec<(Netlist, CampaignConfig)> {
+        vec![
+            (
+                generators::aes_round(1, 3),
+                CampaignConfig::new(700, 520, 5),
+            ),
+            (
+                generators::memctrl(1, 3),
+                CampaignConfig::new(90, 130, 8)
+                    .with_cycles(3)
+                    .with_glitches(),
+            ),
+            (
+                generators::iscas_c17(),
+                CampaignConfig::new(333, 77, 2).with_cycles(2),
+            ),
+        ]
+    }
+
+    fn assert_samples_eq(a: &GateSamples, b: &GateSamples, what: &str) {
+        let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.gate_count(), b.gate_count(), "{what}");
+        for g in 0..a.gate_count() {
+            let id = GateId::new(g);
+            assert_eq!(
+                to_bits(a.fixed(id)),
+                to_bits(b.fixed(id)),
+                "{what}: gate {g}"
+            );
+            assert_eq!(
+                to_bits(a.random(id)),
+                to_bits(b.random(id)),
+                "{what}: gate {g}"
+            );
+        }
+    }
+
+    #[test]
+    fn reused_scratch_is_byte_identical_to_fresh_buffers() {
+        let model = PowerModel::default();
+        let campaigns = scratch_reuse_sequence();
+        for w in [1usize, 4, 8] {
+            // One worker's scratch carries over every campaign, and the
+            // sequence runs twice so the small campaigns also follow the
+            // large one.
+            let mut scratch = BlockScratch::default();
+            let mut timer = PhaseTimer::disabled();
+            for pass in 0..2 {
+                for (i, (design, cfg)) in campaigns.iter().enumerate() {
+                    let engine = Engine::new(design, &model, cfg, w).unwrap();
+                    let mut fresh = GateSamples::default();
+                    let mut reused = GateSamples::default();
+                    for (pop, n) in [
+                        (Population::Fixed, cfg.n_fixed),
+                        (Population::Random, cfg.n_random),
+                    ] {
+                        engine.run_range(pop, 0, n, &mut fresh);
+                        engine.run_range_timed(pop, 0, n, &mut reused, &mut scratch, &mut timer);
+                    }
+                    assert_samples_eq(&fresh, &reused, &format!("W={w} pass {pass} campaign {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_job_fleet_worker_reuses_scratch_byte_identically() {
+        // A sequential fleet is one worker: it interleaves the three jobs'
+        // rounds through a single scratch.
+        let model = PowerModel::default();
+        let campaigns = scratch_reuse_sequence();
+        let jobs = campaigns
+            .iter()
+            .map(|(design, cfg)| {
+                crate::fleet::FleetJob::<GateSamples>::new(design, &model, cfg.clone())
+            })
+            .collect();
+        let outcomes = crate::fleet::run_fleet(jobs, Parallelism::sequential()).unwrap();
+        for (i, ((design, cfg), outcome)) in campaigns.iter().zip(&outcomes).enumerate() {
+            let solo = collect_gate_samples(design, &model, cfg).unwrap();
+            assert_samples_eq(&solo, &outcome.sink, &format!("fleet job {i}"));
+        }
     }
 
     /// Sink that records the lane count of every batch it receives.

@@ -42,8 +42,8 @@ use polaris_netlist::{Netlist, NetlistError};
 use polaris_obs::{NullRecorder, Payload, Phase, PhaseTimer, Recorder};
 
 use crate::campaign::{
-    shard_grid, CampaignConfig, CampaignOutcome, CampaignStats, Checkpoint, Engine, MergeableSink,
-    NeverStop, Parallelism, Population, ShardSpec, StoppingRule,
+    shard_grid, BlockScratch, CampaignConfig, CampaignOutcome, CampaignStats, Checkpoint, Engine,
+    MergeableSink, NeverStop, Parallelism, Population, ShardSpec, StoppingRule,
 };
 use crate::power::PowerModel;
 
@@ -285,6 +285,9 @@ fn worker_loop<S: MergeableSink + Default>(
     let t_loop = if tracing { Some(Instant::now()) } else { None };
     let mut items = 0u64;
     let mut busy_ns = 0u64;
+    // Block buffers for every item this worker runs, whatever its job:
+    // `run_range_timed` resizes them per engine.
+    let mut scratch = BlockScratch::default();
     'worker: loop {
         let (item, queue_obs) = {
             let mut guard = lock(shared);
@@ -326,6 +329,7 @@ fn worker_loop<S: MergeableSink + Default>(
             shard.start(),
             shard.count(),
             &mut sink,
+            &mut scratch,
             &mut timer,
         );
         if let Some(t0) = t_item {

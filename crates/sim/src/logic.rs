@@ -27,6 +27,20 @@ pub struct BlockState<const W: usize> {
 /// Signal state for one 64-lane batch — the single-word block.
 pub type SimState = BlockState<1>;
 
+/// Resizes `v` to `len`, new elements zero. Growth past the capacity
+/// replaces the buffer with a fresh zeroed allocation instead of copying
+/// and zero-filling, so pages a run never writes are never faulted in —
+/// the same footprint as allocating the buffer anew.
+pub(crate) fn resize_zeroed<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if len > v.capacity() {
+        // Free the old buffer before the new one is allocated.
+        *v = Vec::new();
+        *v = vec![T::default(); len];
+    } else {
+        v.resize(len, T::default());
+    }
+}
+
 impl<const W: usize> BlockState<W> {
     /// All value words, gate-major: gate `g` owns `values()[g * W..(g + 1) * W]`.
     /// For `W = 1` this is one word per gate, indexed by gate id.
@@ -44,6 +58,28 @@ impl<const W: usize> BlockState<W> {
     pub fn reset(&mut self) {
         self.values.fill(0);
         self.dff_state.fill(0);
+    }
+
+    /// An all-zero state of a `gates`-gate netlist built in existing word
+    /// buffers, which may come from a state of any width or netlist: the
+    /// campaign engine keeps one pair per worker instead of allocating it
+    /// per shard. [`BlockState::into_buffers`] hands the buffers back.
+    pub(crate) fn from_buffers(
+        mut values: Vec<u64>,
+        mut dff_state: Vec<u64>,
+        gates: usize,
+    ) -> Self {
+        values.clear();
+        resize_zeroed(&mut values, gates * W);
+        dff_state.clear();
+        resize_zeroed(&mut dff_state, gates * W);
+        BlockState { values, dff_state }
+    }
+
+    /// The value and flip-flop word buffers, for reuse by
+    /// [`BlockState::from_buffers`].
+    pub(crate) fn into_buffers(self) -> (Vec<u64>, Vec<u64>) {
+        (self.values, self.dff_state)
     }
 }
 
@@ -371,6 +407,19 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use polaris_netlist::generators;
+
+    #[test]
+    fn resize_zeroed_keeps_large_enough_buffers_and_zeroes_growth() {
+        let mut v: Vec<u64> = vec![7; 8];
+        resize_zeroed(&mut v, 3);
+        assert_eq!(v, [7, 7, 7]);
+        let kept = v.as_ptr();
+        resize_zeroed(&mut v, 6);
+        assert_eq!(v, [7, 7, 7, 0, 0, 0]);
+        assert_eq!(v.as_ptr(), kept, "growth within capacity reuses the buffer");
+        resize_zeroed(&mut v, 100);
+        assert_eq!(v, vec![0; 100], "growth past capacity starts from zeros");
+    }
 
     fn build(src: &str) -> Netlist {
         polaris_netlist::parse_netlist(src).unwrap()

@@ -118,24 +118,51 @@ fn welch_from_summary(a: StreamingMomentsSummary, b: StreamingMomentsSummary) ->
     WelchResult { t, dof }
 }
 
+/// Gates whose Welford chains [`WelchAccumulator::record_batch`] advances in
+/// lockstep (see `StreamingMoments::extend_lockstep`). Eight chains hide
+/// the division latency and fill SSE2 registers four times over; fewer
+/// leave latency exposed and more spill state out of registers.
+const LOCKSTEP_GATES: usize = 8;
+
 impl TraceSink for WelchAccumulator {
-    /// Consumes the batch as one structure-of-arrays pass: each gate's lane
-    /// row feeds a blocked [`StreamingMoments::extend_batch`] update, which
-    /// is bit-for-bit identical to per-sample `push` in trace order — so the
-    /// accumulator state is independent of how the trace stream is cut into
-    /// batches (and therefore of the engine's lane width).
+    /// Consumes the batch as one structure-of-arrays pass: gates are taken
+    /// in blocks of [`LOCKSTEP_GATES`] whose lane rows feed one
+    /// `StreamingMoments::extend_lockstep` update, and the remainder goes
+    /// through [`StreamingMoments::extend_batch`]. Both are bit-for-bit
+    /// identical to per-sample `push` in trace order, so the accumulator
+    /// state is independent of how the trace stream is cut into batches
+    /// (and therefore of the engine's lane width).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch's gate count differs from the accumulator's.
     fn record_batch(&mut self, pop: Population, batch: EnergyBatch<'_>) {
         let gates = batch.gates();
         if self.fixed.is_empty() {
             self.fixed.resize(gates, StreamingMoments::new());
             self.random.resize(gates, StreamingMoments::new());
         }
+        assert_eq!(
+            self.fixed.len(),
+            gates,
+            "batch gate count must match the accumulator"
+        );
         let store = match pop {
             Population::Fixed => &mut self.fixed,
             Population::Random => &mut self.random,
         };
-        for (g, acc) in store.iter_mut().enumerate().take(gates) {
-            acc.extend_batch(batch.gate_lanes(g));
+        let mut blocks = store.chunks_exact_mut(LOCKSTEP_GATES);
+        for (b, block) in (&mut blocks).enumerate() {
+            let base = b * LOCKSTEP_GATES;
+            let rows = std::array::from_fn(|k| batch.gate_lanes(base + k));
+            let block: &mut [StreamingMoments; LOCKSTEP_GATES] =
+                block.try_into().expect("exact chunk");
+            StreamingMoments::extend_lockstep(block, rows);
+        }
+        let tail = blocks.into_remainder();
+        let first = gates - tail.len();
+        for (g, acc) in tail.iter_mut().enumerate() {
+            acc.extend_batch(batch.gate_lanes(first + g));
         }
     }
 }
@@ -145,6 +172,11 @@ impl MergeableSink for WelchAccumulator {
     /// Chan et al. (see [`StreamingMoments::merge`]), gate by gate. Each
     /// campaign worker owns a private `WelchAccumulator`; the engine folds
     /// them in shard order so results are reproducible at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both accumulators are non-empty and track different gate
+    /// counts.
     fn merge(&mut self, other: Self) {
         if other.fixed.is_empty() {
             return;
@@ -153,7 +185,11 @@ impl MergeableSink for WelchAccumulator {
             *self = other;
             return;
         }
-        debug_assert_eq!(self.fixed.len(), other.fixed.len(), "gate count mismatch");
+        assert_eq!(
+            self.fixed.len(),
+            other.fixed.len(),
+            "merged accumulators must track the same gate count"
+        );
         for (a, b) in self.fixed.iter_mut().zip(&other.fixed) {
             a.merge(b);
         }
@@ -585,5 +621,130 @@ endmodule";
             assert_eq!(full.leakage().result(id), reference.leakage().result(id));
             assert_eq!(empty.leakage().result(id), reference.leakage().result(id));
         }
+    }
+
+    fn energies(gates: usize, lanes: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..gates * lanes)
+            .map(|_| {
+                state = polaris_sim::campaign::splitmix64(state);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 1.0
+            })
+            .collect()
+    }
+
+    fn assert_classes_bit_identical(a: &WelchAccumulator, b: &WelchAccumulator, what: &str) {
+        let (fa, ra) = a.classes();
+        let (fb, rb) = b.classes();
+        assert_eq!(fa.len(), fb.len(), "{what}: gate count");
+        for (g, (x, y)) in fa.iter().chain(ra).zip(fb.iter().chain(rb)).enumerate() {
+            let (p, q) = (x.raw_parts(), y.raw_parts());
+            assert_eq!(p.0, q.0, "{what}: entry {g} n");
+            for (u, v) in [(p.1, q.1), (p.2, q.2), (p.3, q.3), (p.4, q.4)] {
+                assert_eq!(u.to_bits(), v.to_bits(), "{what}: entry {g}");
+            }
+        }
+    }
+
+    /// Per-sample `push` reference of `record_batch`.
+    fn push_batch(acc: &mut WelchAccumulator, pop: Population, e: &[f64], lanes: usize) {
+        let store = match pop {
+            Population::Fixed => &mut acc.fixed,
+            Population::Random => &mut acc.random,
+        };
+        for (m, row) in store.iter_mut().zip(e.chunks(lanes)) {
+            for &x in row {
+                m.push(x);
+            }
+        }
+    }
+
+    #[test]
+    fn record_batch_is_bit_identical_to_sequential_push() {
+        // Gate counts around the lockstep block size (a lone remainder, one
+        // short of a block, exactly one block, one past it, two blocks plus
+        // a remainder) at lane counts around the 64-lane word.
+        let k = LOCKSTEP_GATES;
+        for gates in [1, k - 1, k, k + 1, 2 * k + 3] {
+            for lanes in [1usize, 63, 64, 65, 256, 512] {
+                let what = format!("{gates} gates x {lanes} lanes");
+                let mut batched = WelchAccumulator::new();
+                let mut reference = WelchAccumulator::from_classes(
+                    vec![StreamingMoments::new(); gates],
+                    vec![StreamingMoments::new(); gates],
+                );
+                // Two batches per class: the second resumes on the state the
+                // first left behind.
+                for (round, pop) in [Population::Fixed, Population::Random]
+                    .into_iter()
+                    .cycle()
+                    .take(4)
+                    .enumerate()
+                {
+                    let e = energies(gates, lanes, (gates * 1000 + lanes + round) as u64);
+                    let batch = EnergyBatch::new(&e, gates, lanes).unwrap();
+                    batched.record_batch(pop, batch);
+                    push_batch(&mut reference, pop, &e, lanes);
+                }
+                assert_classes_bit_identical(&batched, &reference, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn record_batch_handles_gates_with_different_counts() {
+        // Restored accumulators may carry a different `n` per gate; every
+        // lockstep chain keeps its own count.
+        let gates = 2 * LOCKSTEP_GATES + 3;
+        let fixed: Vec<StreamingMoments> = (0..gates)
+            .map(|g| {
+                let mut m = StreamingMoments::new();
+                m.extend_batch(&energies(1, g * 3, g as u64));
+                m
+            })
+            .collect();
+        let mut batched = WelchAccumulator::from_classes(fixed.clone(), fixed.clone());
+        let mut reference = batched.clone();
+        for lanes in [65usize, 256] {
+            let e = energies(gates, lanes, lanes as u64);
+            batched.record_batch(
+                Population::Fixed,
+                EnergyBatch::new(&e, gates, lanes).unwrap(),
+            );
+            push_batch(&mut reference, Population::Fixed, &e, lanes);
+        }
+        assert_classes_bit_identical(&batched, &reference, "mixed counts");
+    }
+
+    #[test]
+    #[should_panic(expected = "batch gate count must match the accumulator")]
+    fn record_batch_rejects_a_wider_batch() {
+        let mut acc = WelchAccumulator::new();
+        let e = energies(4, 8, 1);
+        acc.record_batch(Population::Fixed, EnergyBatch::new(&e, 4, 8).unwrap());
+        let wide = energies(5, 8, 2);
+        acc.record_batch(Population::Random, EnergyBatch::new(&wide, 5, 8).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "batch gate count must match the accumulator")]
+    fn record_batch_rejects_a_narrower_batch() {
+        let mut acc = WelchAccumulator::new();
+        let e = energies(4, 8, 1);
+        acc.record_batch(Population::Fixed, EnergyBatch::new(&e, 4, 8).unwrap());
+        let narrow = energies(3, 8, 2);
+        acc.record_batch(Population::Fixed, EnergyBatch::new(&narrow, 3, 8).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "merged accumulators must track the same gate count")]
+    fn merge_rejects_a_gate_count_mismatch() {
+        let mut a = WelchAccumulator::new();
+        let e = energies(4, 8, 1);
+        a.record_batch(Population::Fixed, EnergyBatch::new(&e, 4, 8).unwrap());
+        let mut b = WelchAccumulator::new();
+        let e = energies(3, 8, 2);
+        b.record_batch(Population::Fixed, EnergyBatch::new(&e, 3, 8).unwrap());
+        a.merge(b);
     }
 }

@@ -61,12 +61,18 @@ impl StreamingMoments {
     }
 
     /// Blocked batch update: applies the exact [`StreamingMoments::push`]
-    /// recurrence to every sample of `xs` in order, but on register-resident
-    /// accumulator state that is written back once — the SoA hot path of the
-    /// batch sinks. Because the per-sample operation sequence is identical,
-    /// the result is **bit-for-bit identical** to sequential `push` (the
-    /// same guarantee the distributed shard fold relies on), which the
-    /// golden test pins.
+    /// recurrence to every sample of `xs` in order, on register-resident
+    /// accumulator state that is written back once. Because the per-sample
+    /// operation sequence is identical, the result is **bit-for-bit
+    /// identical** to sequential `push` (the guarantee the distributed shard
+    /// fold relies on), which the golden test pins.
+    ///
+    /// One chain is latency-bound: every sample waits on the previous
+    /// sample's division. Batch sinks that update many accumulators at once
+    /// advance them in lockstep (`extend_lockstep`, crate-private) and use
+    /// this form for the remainder. It stays a separate loop because the
+    /// one-chain lockstep kernel measured slower: 13 vs 7.7 ns/sample on a
+    /// 2-vCPU Xeon VM (100k samples).
     pub fn extend_batch(&mut self, xs: &[f64]) {
         let (mut n, mut mean, mut m2, mut m3, mut m4) =
             (self.n, self.mean, self.m2, self.m3, self.m4);
@@ -89,6 +95,69 @@ impl StreamingMoments {
         self.m2 = m2;
         self.m3 = m3;
         self.m4 = m4;
+    }
+
+    /// Lockstep batch update of `K` independent accumulators: `accs[k]`
+    /// consumes `rows[k]`, and all `K` chains advance one sample at a time
+    /// together. Each chain runs exactly the [`StreamingMoments::push`]
+    /// operation sequence on its own state, so every accumulator ends
+    /// **bit-for-bit identical** to pushing `rows[k]` into `accs[k]` one
+    /// sample at a time — whatever counts the accumulators start from.
+    ///
+    /// The chains share no data, so their divisions overlap instead of
+    /// waiting on one another, and the compiler can pack them into SIMD
+    /// registers. The count is carried as an `f64` (`n1 = nf; nf = n1 + 1`),
+    /// which is exact below 2⁵³ and therefore yields the same bits as
+    /// `n as f64`, while keeping every chain operation in floating point so
+    /// the loop vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows differ in length.
+    pub(crate) fn extend_lockstep<const K: usize>(
+        accs: &mut [StreamingMoments; K],
+        rows: [&[f64]; K],
+    ) {
+        let len = rows.first().map_or(0, |r| r.len());
+        assert!(
+            rows.iter().all(|r| r.len() == len),
+            "lockstep rows must have equal lengths"
+        );
+        // Re-slicing to the common length lets the compiler drop the
+        // per-sample bounds checks.
+        let rows: [&[f64]; K] = rows.map(|r| &r[..len]);
+        let mut nf: [f64; K] = std::array::from_fn(|k| accs[k].n as f64);
+        let mut mean: [f64; K] = std::array::from_fn(|k| accs[k].mean);
+        let mut m2: [f64; K] = std::array::from_fn(|k| accs[k].m2);
+        let mut m3: [f64; K] = std::array::from_fn(|k| accs[k].m3);
+        let mut m4: [f64; K] = std::array::from_fn(|k| accs[k].m4);
+        // `i` indexes all K rows at once, which no single-row iterator
+        // expresses.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..len {
+            let x: [f64; K] = std::array::from_fn(|k| rows[k][i]);
+            for k in 0..K {
+                let n1 = nf[k];
+                let n = n1 + 1.0;
+                nf[k] = n;
+                let delta = x[k] - mean[k];
+                let delta_n = delta / n;
+                let delta_n2 = delta_n * delta_n;
+                let term1 = delta * delta_n * n1;
+                mean[k] += delta_n;
+                m4[k] += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2[k]
+                    - 4.0 * delta_n * m3[k];
+                m3[k] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2[k];
+                m2[k] += term1;
+            }
+        }
+        for (k, acc) in accs.iter_mut().enumerate() {
+            acc.n += len as u64;
+            acc.mean = mean[k];
+            acc.m2 = m2[k];
+            acc.m3 = m3[k];
+            acc.m4 = m4[k];
+        }
     }
 
     /// Merges another accumulator into this one (parallel combination).
@@ -383,14 +452,76 @@ mod tests {
                 blocked.push(x);
             }
             blocked.extend_batch(&xs[split..]);
-            let (n_a, m1_a, m2_a, m3_a, m4_a) = scalar.raw_parts();
-            let (n_b, m1_b, m2_b, m3_b, m4_b) = blocked.raw_parts();
-            assert_eq!(n_a, n_b, "split {split}");
-            assert_eq!(m1_a.to_bits(), m1_b.to_bits(), "split {split}");
-            assert_eq!(m2_a.to_bits(), m2_b.to_bits(), "split {split}");
-            assert_eq!(m3_a.to_bits(), m3_b.to_bits(), "split {split}");
-            assert_eq!(m4_a.to_bits(), m4_b.to_bits(), "split {split}");
+            assert_bits_eq(&scalar, &blocked, &format!("split {split}"));
         }
+    }
+
+    fn assert_bits_eq(a: &StreamingMoments, b: &StreamingMoments, what: &str) {
+        let (n_a, m1_a, m2_a, m3_a, m4_a) = a.raw_parts();
+        let (n_b, m1_b, m2_b, m3_b, m4_b) = b.raw_parts();
+        assert_eq!(n_a, n_b, "{what}: n");
+        assert_eq!(m1_a.to_bits(), m1_b.to_bits(), "{what}: mean");
+        assert_eq!(m2_a.to_bits(), m2_b.to_bits(), "{what}: M2");
+        assert_eq!(m3_a.to_bits(), m3_b.to_bits(), "{what}: M3");
+        assert_eq!(m4_a.to_bits(), m4_b.to_bits(), "{what}: M4");
+    }
+
+    /// `extend_lockstep` against sequential `push` on every chain: chain
+    /// `k` first absorbs `k * 5` private samples (so the chains start from
+    /// different counts), then one lockstep batch of `lanes` samples.
+    fn check_lockstep<const K: usize>(lanes: usize) {
+        let rows: Vec<Vec<f64>> = (0..K)
+            .map(|k| pseudo_random(lanes, 1000 + k as u64))
+            .collect();
+        let mut lock = [StreamingMoments::new(); K];
+        let mut reference = [StreamingMoments::new(); K];
+        for k in 0..K {
+            for x in pseudo_random(k * 5, 7 + k as u64) {
+                lock[k].push(x);
+                reference[k].push(x);
+            }
+            for &x in &rows[k] {
+                reference[k].push(x);
+            }
+        }
+        StreamingMoments::extend_lockstep(&mut lock, std::array::from_fn(|k| &rows[k][..]));
+        for k in 0..K {
+            assert_bits_eq(
+                &lock[k],
+                &reference[k],
+                &format!("K={K} lanes={lanes} chain {k}"),
+            );
+        }
+    }
+
+    #[test]
+    fn extend_lockstep_is_bit_identical_to_sequential_push() {
+        for lanes in [0usize, 1, 63, 64, 65, 256, 512] {
+            check_lockstep::<1>(lanes);
+            check_lockstep::<3>(lanes);
+            check_lockstep::<8>(lanes);
+        }
+    }
+
+    #[test]
+    fn extend_lockstep_resumes_like_one_long_batch() {
+        // Two lockstep batches back to back equal one serial batch per chain.
+        let xs: Vec<Vec<f64>> = (0..8).map(|k| pseudo_random(700, 50 + k)).collect();
+        let mut lock = [StreamingMoments::new(); 8];
+        StreamingMoments::extend_lockstep(&mut lock, std::array::from_fn(|k| &xs[k][..300]));
+        StreamingMoments::extend_lockstep(&mut lock, std::array::from_fn(|k| &xs[k][300..]));
+        for (k, acc) in lock.iter().enumerate() {
+            let mut serial = StreamingMoments::new();
+            serial.extend_batch(&xs[k]);
+            assert_bits_eq(acc, &serial, &format!("chain {k}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lockstep rows must have equal lengths")]
+    fn extend_lockstep_rejects_ragged_rows() {
+        let mut accs = [StreamingMoments::new(); 2];
+        StreamingMoments::extend_lockstep(&mut accs, [&[1.0, 2.0][..], &[1.0][..]]);
     }
 
     #[test]
